@@ -48,6 +48,20 @@ pub struct DeviceOptRow {
     pub intra_imbalance: f64,
     /// CRC-32 of the score vector (must be identical across rows).
     pub score_crc: u32,
+    /// Host wall nanoseconds the simulator spent per simulated cell, per
+    /// kernel. The row's one host-wall column: it measures the simulator,
+    /// not the modelled device, and is recorded but never gated. `None`
+    /// for trajectory entries written before it existed.
+    pub sim_host_ns_per_cell: Option<HostNsPerCell>,
+}
+
+/// Host wall nanoseconds per simulated cell of each paper kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HostNsPerCell {
+    /// The inter-task kernel's launches.
+    pub inter: f64,
+    /// The improved intra-task kernel's launches.
+    pub intra: f64,
 }
 
 /// The whole measured matrix.
@@ -84,6 +98,7 @@ impl DeviceOptResult {
                 "h2d hidden (s)",
                 "intra imbalance",
                 "score crc",
+                "host ns/cell inter / intra (wall)",
             ],
         );
         for r in &self.rows {
@@ -96,6 +111,10 @@ impl DeviceOptResult {
                 format!("{:.6}", r.h2d_hidden_seconds),
                 format!("{:.2}", r.intra_imbalance),
                 format!("{:08x}", r.score_crc),
+                match r.sim_host_ns_per_cell {
+                    Some(h) => format!("{:.1} / {:.1}", h.inter, h.intra),
+                    None => "-".to_string(),
+                },
             ]);
         }
         t
@@ -174,6 +193,10 @@ fn workload(smoke: bool) -> (Vec<usize>, usize) {
     }
 }
 
+fn ns_per_cell(host_seconds: f64, cells: u64) -> f64 {
+    host_seconds * 1.0e9 / cells.max(1) as f64
+}
+
 /// Run the optimization matrix. `smoke` shrinks the workload to CI
 /// scale on the identical code path.
 pub fn run(smoke: bool) -> DeviceOptResult {
@@ -197,8 +220,10 @@ pub fn run(smoke: bool) -> DeviceOptResult {
         };
         let (result, run) = obs::capture(|| {
             let mut driver = CudaSwDriver::new(bench_spec(), cfg);
-            driver.search(&query, &db)
+            let result = driver.search(&query, &db);
+            (result, driver.dev)
         });
+        let (result, dev) = result;
         let result = match result {
             Ok(r) => r,
             Err(e) => panic!("device-opt bench search failed ({}): {e}", device.label()),
@@ -232,6 +257,13 @@ pub fn run(smoke: bool) -> DeviceOptResult {
                 1.0
             },
             score_crc: crc32(&score_bytes),
+            sim_host_ns_per_cell: Some(HostNsPerCell {
+                inter: ns_per_cell(dev.host_launch_seconds("inter_task"), result.inter.cells),
+                intra: ns_per_cell(
+                    dev.host_launch_seconds("intra_improved"),
+                    result.intra.cells,
+                ),
+            }),
         });
     }
 

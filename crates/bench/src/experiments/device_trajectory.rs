@@ -20,8 +20,15 @@
 //!   device, row by row: GCUPs must not drop beyond [`GCUPS_TOLERANCE`]
 //!   and global transactions must not grow beyond
 //!   [`TRANSACTION_TOLERANCE`].
+//!
+//! Every other column is on the simulated clock or a count. The one
+//! exception is `sim_host_ns_per_cell` (`{"inter", "intra"}`): the host
+//! wall nanoseconds the simulator spent per simulated cell of each
+//! kernel. It records what the simulator costs to run, varies with the
+//! measuring machine, and no gate reads it. Entries written before it
+//! existed omit it.
 
-use super::device_opt::{DeviceOptResult, DeviceOptRow};
+use super::device_opt::{DeviceOptResult, DeviceOptRow, HostNsPerCell};
 use obs::json::{escape, parse, Json};
 
 /// JSON schema tag of the trajectory document.
@@ -186,7 +193,7 @@ fn entry_to_json(e: &TrajectoryEntry, indent: &str) -> String {
              \"inter_global_transactions\": {}, \"hidden_latency_cycles\": {}, \
              \"h2d_seconds\": {:.9}, \"h2d_hidden_seconds\": {:.9}, \
              \"h2d_bytes\": {}, \"intra_imbalance\": {:.4}, \
-             \"score_crc\": {}}}{}\n",
+             \"score_crc\": {}{}}}{}\n",
             escape(&r.label),
             r.gcups,
             r.kernel_seconds,
@@ -198,6 +205,13 @@ fn entry_to_json(e: &TrajectoryEntry, indent: &str) -> String {
             r.h2d_bytes,
             r.intra_imbalance,
             r.score_crc,
+            match r.sim_host_ns_per_cell {
+                Some(h) => format!(
+                    ", \"sim_host_ns_per_cell\": {{\"inter\": {:.1}, \"intra\": {:.1}}}",
+                    h.inter, h.intra
+                ),
+                None => String::new(),
+            },
             if i + 1 == e.rows.len() { "" } else { "," },
         ));
     }
@@ -232,6 +246,13 @@ fn row_from_json(v: &Json) -> Result<DeviceOptRow, String> {
         h2d_bytes: num(v, "h2d_bytes")? as u64,
         intra_imbalance: num(v, "intra_imbalance")?,
         score_crc: num(v, "score_crc")? as u32,
+        sim_host_ns_per_cell: match v.get("sim_host_ns_per_cell") {
+            Some(h) => Some(HostNsPerCell {
+                inter: num(h, "inter")?,
+                intra: num(h, "intra")?,
+            }),
+            None => None,
+        },
     })
 }
 
@@ -440,6 +461,10 @@ mod tests {
             h2d_bytes: 65_536,
             intra_imbalance: imb,
             score_crc: 0xdeadbeef,
+            sim_host_ns_per_cell: Some(HostNsPerCell {
+                inter: 30.0,
+                intra: 75.0,
+            }),
         }
     }
 
@@ -482,8 +507,26 @@ mod tests {
                 assert!((x.gcups - y.gcups).abs() < 1e-3);
                 assert!((x.h2d_seconds - y.h2d_seconds).abs() < 1e-8);
                 assert!((x.intra_imbalance - y.intra_imbalance).abs() < 1e-3);
+                assert_eq!(x.sim_host_ns_per_cell, y.sim_host_ns_per_cell);
             }
         }
+    }
+
+    #[test]
+    fn rows_without_the_host_cost_column_still_parse() {
+        let mut e = sample_entry("old");
+        for r in &mut e.rows {
+            r.sim_host_ns_per_cell = None;
+        }
+        let mut t = Trajectory::default();
+        t.append(e);
+        let text = t.to_json();
+        assert!(!text.contains("sim_host_ns_per_cell"));
+        let parsed = Trajectory::parse(&text).expect("valid document");
+        assert!(parsed.entries[0]
+            .rows
+            .iter()
+            .all(|r| r.sim_host_ns_per_cell.is_none()));
     }
 
     #[test]
