@@ -248,13 +248,17 @@ impl ImprovedIntraKernel<'_> {
         let mut diag = vec![0i32; n_th];
         let mut db_word = vec![0u32; n_th];
         let mut best = 0i32;
+        let mut scratch = StepScratch {
+            acc: WarpAccess::empty(),
+            h_acc: WarpAccess::empty(),
+            f_acc: WarpAccess::empty(),
+        };
 
         for r in 0..strips {
             let i_base = r * strip_rows;
             let last_strip = r + 1 == strips;
             // Threads that have at least one real row this strip.
             let active_max = ((m - i_base).div_ceil(th)).min(n_th);
-            let rows_of = |t: usize| th.min(m.saturating_sub(i_base + t * th));
             for t in 0..n_th {
                 h_left[t] = [0i32; MAX_TILE_HEIGHT];
                 e_left[t] = [NEG; MAX_TILE_HEIGHT];
@@ -294,6 +298,9 @@ impl ImprovedIntraKernel<'_> {
                 let warp_lo = t_lo / WARP_SIZE;
                 let warp_hi = t_hi / WARP_SIZE;
                 for w in warp_lo..=warp_hi {
+                    // The warp's active lanes: threads t_lo..=t_hi.
+                    let t0 = w * WARP_SIZE;
+                    let lanes = t_lo.max(t0) - t0..t_hi.min(t0 + WARP_SIZE - 1) + 1 - t0;
                     self.run_step_warp(
                         ctx,
                         StepArgs {
@@ -302,9 +309,10 @@ impl ImprovedIntraKernel<'_> {
                             r,
                             s,
                             w,
-                            t_lo,
-                            t_hi,
+                            t0,
+                            lanes,
                             i_base,
+                            m,
                             n,
                             th,
                             open,
@@ -318,7 +326,7 @@ impl ImprovedIntraKernel<'_> {
                             n_th,
                             active_max,
                         },
-                        &rows_of,
+                        &mut scratch,
                         &mut h_left,
                         &mut e_left,
                         &mut diag,
@@ -351,6 +359,14 @@ impl ImprovedIntraKernel<'_> {
     }
 }
 
+/// Warp accesses reused by every step of a pair: each instruction clears
+/// and refills one instead of building a fresh access.
+struct StepScratch {
+    acc: WarpAccess,
+    h_acc: WarpAccess,
+    f_acc: WarpAccess,
+}
+
 /// Per-step, per-warp parameters.
 struct StepArgs<'p> {
     pair: &'p IntraPair,
@@ -358,9 +374,13 @@ struct StepArgs<'p> {
     r: usize,
     s: usize,
     w: usize,
-    t_lo: usize,
-    t_hi: usize,
+    /// First thread of warp `w`.
+    t0: usize,
+    /// The warp's active lanes (threads `t0 + lanes`): the pipeline's
+    /// `t_lo..=t_hi` clipped to this warp. Lanes outside do nothing.
+    lanes: std::ops::Range<usize>,
     i_base: usize,
+    m: usize,
     n: usize,
     th: usize,
     open: i32,
@@ -382,39 +402,34 @@ impl ImprovedIntraKernel<'_> {
         &self,
         ctx: &mut BlockCtx<'_>,
         a: StepArgs<'_>,
-        rows_of: &dyn Fn(usize) -> usize,
+        scratch: &mut StepScratch,
         h_left: &mut [[i32; MAX_TILE_HEIGHT]],
         e_left: &mut [[i32; MAX_TILE_HEIGHT]],
         diag: &mut [i32],
         db_word: &mut [u32],
         best: &mut i32,
     ) -> Result<(), GpuError> {
-        let lane_t = |lane: usize| a.w * WARP_SIZE + lane;
-        let active = |lane: usize| {
-            let t = lane_t(lane);
-            t >= a.t_lo && t <= a.t_hi
-        };
+        let t0 = a.t0;
+        let lanes = a.lanes.clone();
+        // Real query rows of thread `t` in this strip (>= 1 when active).
+        let rows_of = |t: usize| a.th.min(a.m - (a.i_base + t * a.th));
 
         // 1. Database residues: lanes needing a fresh packed word, fetched
         // through the texture path (the database is texture-bound, so
         // these never show up as Table-I global transactions).
+        let StepScratch { acc, h_acc, f_acc } = scratch;
         {
-            let mut acc = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if active(lane) {
-                    let t = lane_t(lane);
-                    let j = a.s - t;
-                    if j.is_multiple_of(4) {
-                        acc.set(lane, a.pair.tex.addr(j / 4));
-                    }
+            acc.clear();
+            for lane in lanes.clone() {
+                let j = a.s - (t0 + lane);
+                if j.is_multiple_of(4) {
+                    acc.set(lane, a.pair.tex.addr(j / 4));
                 }
             }
-            if acc.active_lanes() > 0 {
-                let words = ctx.tex_load(a.pair.tex, &acc)?;
-                for lane in 0..WARP_SIZE {
-                    if acc.is_active(lane) {
-                        db_word[lane_t(lane)] = words[lane];
-                    }
+            if acc.mask != 0 {
+                let words = ctx.tex_load(a.pair.tex, acc)?;
+                for lane in acc.lanes() {
+                    db_word[t0 + lane] = words[lane];
                 }
             }
         }
@@ -424,27 +439,25 @@ impl ImprovedIntraKernel<'_> {
         let mut top_h = [0i32; WARP_SIZE];
         let mut top_f = [NEG; WARP_SIZE];
         {
-            let mut h_acc = WarpAccess::empty();
-            let mut f_acc = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if active(lane) && lane_t(lane) > 0 {
-                    let t = lane_t(lane);
+            h_acc.clear();
+            f_acc.clear();
+            for lane in lanes.clone() {
+                let t = t0 + lane;
+                if t > 0 {
                     h_acc.set(lane, a.layout.pipe_h(a.prev_parity, t - 1));
                     f_acc.set(lane, a.layout.pipe_f(a.prev_parity, t - 1));
                 }
             }
-            if h_acc.active_lanes() > 0 {
-                let hv = ctx.shared_load(&h_acc);
-                let fv = ctx.shared_load(&f_acc);
-                for lane in 0..WARP_SIZE {
-                    if h_acc.is_active(lane) {
-                        top_h[lane] = hv[lane] as i32;
-                        top_f[lane] = fv[lane] as i32;
-                    }
+            if h_acc.mask != 0 {
+                let hv = ctx.shared_load(h_acc);
+                let fv = ctx.shared_load(f_acc);
+                for lane in h_acc.lanes() {
+                    top_h[lane] = hv[lane] as i32;
+                    top_f[lane] = fv[lane] as i32;
                 }
             }
             // Thread 0 reads the previous strip's bottom row.
-            if a.w == 0 && active(0) && a.r > 0 {
+            if t0 == 0 && lanes.start == 0 && a.r > 0 {
                 let j = a.s; // t == 0 ⇒ column == step
                 let (hv, fv) = if self.variant.boundary_in_shared {
                     let acc_h = WarpAccess::from_lanes([(0usize, a.layout.bound_base + j)]);
@@ -470,45 +483,38 @@ impl ImprovedIntraKernel<'_> {
             }
         }
 
-        // 3. Query-profile fetch.
-        let words_needed = if self.variant.per_row_profile_fetch {
-            a.th // one (redundant) fetch per row — §III-B "before"
-        } else {
-            a.th / 4 // one packed word per four rows
-        };
-        let mut prof = [[0u32; MAX_TILE_HEIGHT]; WARP_SIZE]; // packed words per lane
+        // 3. Query-profile fetch: one packed word per four rows, or one
+        // (redundant) fetch per row in the §III-B "before" variant.
+        let per_row = self.variant.per_row_profile_fetch;
+        let words_needed = if per_row { a.th } else { a.th / 4 };
+        let mut residue = [0u8; WARP_SIZE];
+        for lane in lanes.clone() {
+            let t = t0 + lane;
+            residue[lane] = unpack_residue(db_word[t], (a.s - t) % 4);
+        }
+        let mut prof = [[0u32; MAX_TILE_HEIGHT / 4]; WARP_SIZE]; // packed words per lane
         for widx in 0..words_needed {
-            let mut acc = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if active(lane) {
-                    let t = lane_t(lane);
-                    let rows = rows_of(t);
-                    let i_t = a.i_base + t * a.th;
-                    let d = unpack_residue(db_word[t], (a.s - t) % 4);
-                    if self.variant.per_row_profile_fetch {
-                        if widx < rows {
-                            let word = self.profile.word_index(d, (i_t + widx) / 4);
-                            acc.set(lane, self.profile.tex.addr(word));
-                        }
-                    } else if widx * 4 < rows {
-                        let word = self.profile.word_index(d, i_t / 4 + widx);
-                        acc.set(lane, self.profile.tex.addr(word));
-                    }
+            acc.clear();
+            for lane in lanes.clone() {
+                let t = t0 + lane;
+                let i_t = a.i_base + t * a.th;
+                let (needed, word) = if per_row {
+                    (widx < rows_of(t), (i_t + widx) / 4)
+                } else {
+                    (widx * 4 < rows_of(t), i_t / 4 + widx)
+                };
+                if needed {
+                    let texel = self.profile.word_index(residue[lane], word);
+                    acc.set(lane, self.profile.tex.addr(texel));
                 }
             }
-            if acc.active_lanes() == 0 {
+            if acc.mask == 0 {
                 continue;
             }
-            let words = ctx.tex_load(self.profile.tex, &acc)?;
-            for lane in 0..WARP_SIZE {
-                if acc.is_active(lane) {
-                    prof[lane][widx
-                        / if self.variant.per_row_profile_fetch {
-                            4
-                        } else {
-                            1
-                        }] = words[lane];
-                }
+            let words = ctx.tex_load(self.profile.tex, acc)?;
+            let slot = if per_row { widx / 4 } else { widx };
+            for lane in acc.lanes() {
+                prof[lane][slot] = words[lane];
             }
         }
 
@@ -522,16 +528,11 @@ impl ImprovedIntraKernel<'_> {
                 for plane in 0..2 {
                     let mut ld = WarpAccess::empty();
                     let vals = [0u32; WARP_SIZE];
-                    for lane in 0..WARP_SIZE {
-                        if active(lane) {
-                            let t = lane_t(lane);
-                            ld.set(lane, a.spill_base + (plane * a.th + k) * a.n_th + t);
-                        }
+                    for lane in lanes.clone() {
+                        ld.set(lane, a.spill_base + (plane * a.th + k) * a.n_th + t0 + lane);
                     }
-                    if ld.active_lanes() > 0 {
-                        ctx.global_load(&ld)?;
-                        ctx.global_store(&ld, &vals)?;
-                    }
+                    ctx.global_load(&ld)?;
+                    ctx.global_store(&ld, &vals)?;
                 }
             }
         }
@@ -541,33 +542,29 @@ impl ImprovedIntraKernel<'_> {
         let mut bot_f = [0u32; WARP_SIZE];
         let mut cells = 0u64;
         let mut max_rows = 0usize;
-        for lane in 0..WARP_SIZE {
-            if !active(lane) {
-                continue;
-            }
-            let t = lane_t(lane);
+        for lane in lanes.clone() {
+            let t = t0 + lane;
             let rows = rows_of(t);
             max_rows = max_rows.max(rows);
+            let (h_col, e_col) = (&mut h_left[t], &mut e_left[t]);
             let mut f = (top_f[lane] - a.extend).max(top_h[lane] - a.open);
             let mut diag_k = diag[t];
             let mut h = 0i32;
             for k in 0..rows {
                 let scores = PackedProfile::unpack(prof[lane][k / 4]);
                 let wscore = scores[k % 4] as i32;
-                let e = (e_left[t][k] - a.extend).max(h_left[t][k] - a.open);
+                let e = (e_col[k] - a.extend).max(h_col[k] - a.open);
                 if k > 0 {
                     f = (f - a.extend).max(h - a.open);
                 }
                 h = (diag_k + wscore).max(e).max(f).max(0);
-                diag_k = h_left[t][k];
-                h_left[t][k] = h;
-                e_left[t][k] = e;
-                if h > *best {
-                    *best = h;
-                }
+                diag_k = h_col[k];
+                h_col[k] = h;
+                e_col[k] = e;
+                *best = (*best).max(h);
             }
             diag[t] = top_h[lane];
-            bot_h[lane] = h_left[t][a.th - 1] as u32;
+            bot_h[lane] = h_col[a.th - 1] as u32;
             bot_f[lane] = f as u32;
             cells += rows as u64;
         }
@@ -576,17 +573,14 @@ impl ImprovedIntraKernel<'_> {
 
         // 6. Publish bottom row to the shared pipe for thread t+1.
         {
-            let mut h_acc = WarpAccess::empty();
-            let mut f_acc = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if active(lane) {
-                    let t = lane_t(lane);
-                    h_acc.set(lane, a.layout.pipe_h(a.parity, t));
-                    f_acc.set(lane, a.layout.pipe_f(a.parity, t));
-                }
+            h_acc.clear();
+            f_acc.clear();
+            for lane in lanes.clone() {
+                h_acc.set(lane, a.layout.pipe_h(a.parity, t0 + lane));
+                f_acc.set(lane, a.layout.pipe_f(a.parity, t0 + lane));
             }
-            ctx.shared_store(&h_acc, &bot_h);
-            ctx.shared_store(&f_acc, &bot_f);
+            ctx.shared_store(h_acc, &bot_h);
+            ctx.shared_store(f_acc, &bot_f);
         }
 
         // 7. The strip's bottom row goes to the boundary store (the last
@@ -594,7 +588,7 @@ impl ImprovedIntraKernel<'_> {
         let writer = a.active_max - 1;
         if !a.last_strip && a.w == writer / WARP_SIZE {
             let lane = writer % WARP_SIZE;
-            if active(lane) {
+            if lanes.contains(&lane) {
                 let j = a.s - writer;
                 if self.variant.boundary_in_shared {
                     let acc_h = WarpAccess::from_lanes([(lane, a.layout.bound_base + j)]);
