@@ -35,7 +35,9 @@
 //!   watchdog thread re-dispatches the claimed chunk of a silent worker to
 //!   the survivors, and per-sequence compare-and-swap commits make
 //!   reassembly exactly-once even when the stalled worker eventually
-//!   finishes the same chunk;
+//!   finishes the same chunk. The watchdog polls every
+//!   `watchdog_poll_ms`, but the last commit and every exiting worker
+//!   wake it, so a finished or cancelled search never waits out a poll;
 //! * *memory admission* — each chunk reserves its estimated working set
 //!   from a [`HostMemoryBudget`] before computing; a denied reservation
 //!   splits the chunk in half and retries (re-chunk-on-pressure,
@@ -66,6 +68,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 use sw_db::Sequence;
 
@@ -397,6 +401,52 @@ pub fn search_protected_with_chunks(
     let claims: Vec<Mutex<Option<Claim>>> = (0..threads).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
+        // The watchdog first, so every worker can wake it.
+        if cfg.stall_after_ms > 0 {
+            let shared = &shared;
+            let queues = &queues;
+            let hearts = &hearts;
+            let claims = &claims;
+            let stall_after = Duration::from_millis(cfg.stall_after_ms);
+            let poll = Duration::from_millis(cfg.watchdog_poll_ms.max(1));
+            let watchdog = scope.spawn(move || {
+                let mut last: Vec<(u64, Instant)> = hearts
+                    .iter()
+                    .map(|h| (h.load(Ordering::Relaxed), Instant::now()))
+                    .collect();
+                loop {
+                    if shared.cancel_observed() || shared.remaining.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
+                    // Sleep one poll period, or less: the last commit and
+                    // every exiting worker unpark this thread, so a
+                    // finished search never waits out the poll.
+                    std::thread::park_timeout(poll);
+                    for w in 0..threads {
+                        let beat = hearts[w].load(Ordering::Relaxed);
+                        if beat != last[w].0 {
+                            last[w] = (beat, Instant::now());
+                            continue;
+                        }
+                        if last[w].1.elapsed() < stall_after {
+                            continue;
+                        }
+                        // Silent worker holding a claim: hand its chunk to
+                        // a survivor (any queue works — stealing finds it).
+                        let mut claim = claims[w].lock();
+                        if let Some(c) = claim.as_mut() {
+                            if !c.redispatched {
+                                c.redispatched = true;
+                                queues[(w + 1) % threads].lock().push_back(c.range.clone());
+                                shared.redispatches.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                }
+            });
+            shared.watchdog.get_or_init(|| watchdog.thread().clone());
+        }
+
         for w in 0..threads {
             let shared = &shared;
             let queues = &queues;
@@ -405,10 +455,15 @@ pub fn search_protected_with_chunks(
             let steals = &steals;
             scope.spawn(move || loop {
                 if shared.cancel_observed() || shared.remaining.load(Ordering::Acquire) == 0 {
+                    shared.wake_watchdog();
                     break;
                 }
-                // Own deque first (front), then sweep siblings (back).
-                let next = queues[w].lock().pop_front().or_else(|| {
+                // Own deque first (front), then sweep siblings (back). The
+                // own-queue guard must drop before any sibling is locked:
+                // two idle workers each holding their own queue while
+                // locking the other's would deadlock.
+                let own = queues[w].lock().pop_front();
+                let next = own.or_else(|| {
                     (1..threads).find_map(|d| {
                         let victim = (w + d) % threads;
                         let stolen = queues[victim].lock().pop_back();
@@ -435,48 +490,8 @@ pub fn search_protected_with_chunks(
                 );
                 *claims[w].lock() = None;
                 if !proceed {
+                    shared.wake_watchdog();
                     break;
-                }
-            });
-        }
-
-        if cfg.stall_after_ms > 0 {
-            let shared = &shared;
-            let queues = &queues;
-            let hearts = &hearts;
-            let claims = &claims;
-            let stall_after = Duration::from_millis(cfg.stall_after_ms);
-            let poll = Duration::from_millis(cfg.watchdog_poll_ms.max(1));
-            scope.spawn(move || {
-                let mut last: Vec<(u64, Instant)> = hearts
-                    .iter()
-                    .map(|h| (h.load(Ordering::Relaxed), Instant::now()))
-                    .collect();
-                loop {
-                    if shared.cancel_observed() || shared.remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    std::thread::sleep(poll);
-                    for w in 0..threads {
-                        let beat = hearts[w].load(Ordering::Relaxed);
-                        if beat != last[w].0 {
-                            last[w] = (beat, Instant::now());
-                            continue;
-                        }
-                        if last[w].1.elapsed() < stall_after {
-                            continue;
-                        }
-                        // Silent worker holding a claim: hand its chunk to
-                        // a survivor (any queue works — stealing finds it).
-                        let mut claim = claims[w].lock();
-                        if let Some(c) = claim.as_mut() {
-                            if !c.redispatched {
-                                c.redispatched = true;
-                                queues[(w + 1) % threads].lock().push_back(c.range.clone());
-                                shared.redispatches.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
                 }
             });
         }
@@ -529,6 +544,8 @@ struct RunShared<'a> {
     budget_denials: AtomicU64,
     rechunks: AtomicU64,
     forced_admissions: AtomicU64,
+    /// The watchdog thread, when one runs; see [`RunShared::wake_watchdog`].
+    watchdog: OnceLock<Thread>,
 }
 
 impl<'a> RunShared<'a> {
@@ -555,6 +572,15 @@ impl<'a> RunShared<'a> {
             budget_denials: AtomicU64::new(0),
             rechunks: AtomicU64::new(0),
             forced_admissions: AtomicU64::new(0),
+            watchdog: OnceLock::new(),
+        }
+    }
+
+    /// Cut the watchdog's poll short so it re-checks whether the search
+    /// is over (no-op without a watchdog).
+    fn wake_watchdog(&self) {
+        if let Some(watchdog) = self.watchdog.get() {
+            watchdog.unpark();
         }
     }
 
@@ -581,7 +607,9 @@ impl<'a> RunShared<'a> {
             .is_ok()
         {
             self.slots[i].store(score, Ordering::Release);
-            self.remaining.fetch_sub(1, Ordering::AcqRel);
+            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.wake_watchdog();
+            }
             true
         } else {
             self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
@@ -980,6 +1008,40 @@ mod tests {
                 assert_eq!(r.scores.len(), db.len(), "zero lost sequences");
             }
         }
+    }
+
+    #[test]
+    fn a_finished_search_does_not_wait_out_the_watchdog_poll() {
+        let db = database_with_lengths("t", &[40; 16], 3);
+        let query = make_query(32, 5);
+        let eng = engine(&query);
+        let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
+        let chunks: Vec<Range<usize>> = (0..16).step_by(2).map(|s| s..s + 2).collect();
+        // A 10 s poll: before the last commit woke the watchdog, every
+        // multi-worker search joined it only after a whole poll.
+        let cfg = PoolConfig::new(2, Precision::Adaptive).with_watchdog(1000, 10_000);
+        let started = Instant::now();
+        let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
+            Ok(r) => r,
+            Err(e) => panic!("not cancellable: {e}"),
+        };
+        assert_eq!(r.scores, clean.scores);
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "search took {:?}",
+            started.elapsed()
+        );
+
+        // A cancelled search is woken by the exiting workers.
+        let cfg = cfg.with_cancel(CancelToken::after_polls(3));
+        let started = Instant::now();
+        let r = search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks);
+        assert_eq!(r.err(), Some(Cancelled));
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "cancel took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]
