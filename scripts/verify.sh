@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo build --release --offline --workspace --examples
+# The benchmark harness is its own cargo workspace, so the workspace
+# build above never compiles it; build it here so a public-API change to
+# a library crate cannot break the benchmark unseen.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --workspace
 
 # The paper-claims regression suite and the crash matrix, named
