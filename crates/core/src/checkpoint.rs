@@ -88,6 +88,14 @@ pub enum ChunkPhase {
 }
 
 impl ChunkPhase {
+    /// The `phase` label of the metrics and trace events it records.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            ChunkPhase::Inter => "inter",
+            ChunkPhase::Intra => "intra",
+        }
+    }
+
     fn to_byte(self) -> u8 {
         match self {
             ChunkPhase::Inter => 0,

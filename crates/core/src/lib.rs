@@ -34,6 +34,7 @@
 pub mod balance;
 pub mod checkpoint;
 pub mod driver;
+pub mod executor;
 pub mod extensions;
 pub mod inter_task;
 pub mod intra_improved;

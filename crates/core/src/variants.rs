@@ -6,9 +6,8 @@
 //! benches and the `repro` binary can run any variant over a workload
 //! with one call.
 
-use crate::intra_improved::{ImprovedIntraKernel, ImprovedParams, VariantConfig};
-use crate::intra_orig::IntraPair;
-use crate::seqstore::{ProfileImage, SeqImage};
+use crate::executor::{launch_improved, read_pair_scores, stage_query, upload_pairs};
+use crate::intra_improved::{ImprovedParams, VariantConfig};
 use gpu_sim::{DeviceSpec, GpuDevice, GpuError, LaunchStats};
 use sw_align::{PackedProfile, SwParams};
 use sw_db::Sequence;
@@ -101,51 +100,26 @@ pub fn run_intra_variant(
     sequences: &[Sequence],
     query: &[u8],
     params: ImprovedParams,
-    mut variant: VariantConfig,
+    variant: VariantConfig,
 ) -> Result<(Vec<i32>, LaunchStats), GpuError> {
     let sw = SwParams::cudasw_default();
-    // The shared-memory boundary only fits short sequences; fall back
-    // transparently when it does not (same policy as the driver).
-    if variant.boundary_in_shared {
-        let max_len = sequences.iter().map(|s| s.len()).max().unwrap_or(0);
-        let needed = (4 * params.threads_per_block as usize + 2 * max_len) * 4;
-        if needed > spec.shared_mem_per_sm as usize {
-            variant.boundary_in_shared = false;
-        }
-    }
     let mut dev = GpuDevice::new(spec.clone());
+    let mut xfer = 0.0;
     let packed = PackedProfile::build(&sw.matrix, query);
-    let (profile, _) = ProfileImage::upload(&mut dev, &packed)?;
-    let mut pairs = Vec::with_capacity(sequences.len());
-    for s in sequences {
-        let (img, _) = SeqImage::upload(&mut dev, s)?;
-        pairs.push(IntraPair {
-            tex: img.tex,
-            len: img.len,
-            score: img.score,
-        });
-    }
-    let max_len = sequences.iter().map(|s| s.len()).max().unwrap_or(1);
-    let boundary = dev.alloc(ImprovedIntraKernel::boundary_words(pairs.len(), max_len))?;
-    let local_spill = dev.alloc(ImprovedIntraKernel::spill_words(pairs.len(), &params))?;
-    let kernel = ImprovedIntraKernel {
-        pairs: &pairs,
-        profile: &profile,
-        gaps: sw.gaps,
-        boundary,
-        boundary_stride: max_len,
-        local_spill,
+    let q = stage_query(&mut dev, &packed, None, &mut xfer)?;
+    let pairs = upload_pairs(&mut dev, sequences, &mut xfer)?;
+    let stats = launch_improved(
+        &mut dev,
+        &pairs,
+        &q.profile,
+        sw.gaps,
         params,
         variant,
-        step_latency_cycles: 30,
-        schedule: None,
-    };
-    let stats = dev.launch(&kernel, pairs.len() as u32, "intra_variant")?;
-    let mut scores = Vec::with_capacity(pairs.len());
-    for p in &pairs {
-        let (v, _) = dev.copy_from_device(p.score, 1)?;
-        scores.push(v[0] as i32);
-    }
+        false,
+        "intra_variant",
+    )?;
+    let mut scores = vec![0i32; pairs.len()];
+    read_pair_scores(&mut dev, &pairs, &mut scores, &mut xfer)?;
     Ok((scores, stats))
 }
 

@@ -218,3 +218,35 @@ fn counters_are_monotone_across_searches() {
     });
     drop(run);
 }
+
+/// A search's phase `RunStats` are the sums of its own launches: twenty
+/// earlier searches in the same recorder must not move a single bit of
+/// them (a view rebuilt by subtracting registry snapshots rounds against
+/// whatever the registry already held).
+#[test]
+fn phase_stats_do_not_depend_on_earlier_searches() {
+    let db = mixed_db();
+    let query = make_query(48, 5);
+    let search = || {
+        let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c2050(), config());
+        driver.search(&query, &db).unwrap()
+    };
+    let (fresh, _) = obs::capture(search);
+    let (warm, _) = obs::capture(|| {
+        for _ in 0..20 {
+            search();
+        }
+        search()
+    });
+    for (phase, a, b) in [
+        ("inter", &warm.inter, &fresh.inter),
+        ("intra", &warm.intra, &fresh.intra),
+    ] {
+        assert_eq!(
+            a.seconds.to_bits(),
+            b.seconds.to_bits(),
+            "{phase} seconds moved"
+        );
+    }
+    assert_eq!(warm, fresh);
+}
