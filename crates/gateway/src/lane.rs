@@ -189,9 +189,11 @@ impl DeviceLaneWorker {
                     return;
                 }
                 Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
+                    // The first retry waits the base interval; each later
+                    // one doubles it.
                     let backoff =
                         self.policy.backoff_base_seconds * f64::from(1u32 << attempt.min(20));
+                    attempt += 1;
                     obs::advance(backoff);
                     obs::counter_add("cudasw.gateway.staging_retries", &[], 1.0);
                 }
@@ -389,5 +391,50 @@ impl HostLaneWorker {
             cancelled,
             seconds: t0.elapsed().as_secs_f64(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpu_sim::FaultSite;
+    use sw_db::synth::database_with_lengths;
+
+    /// One injected staging transient advances the worker's simulated
+    /// clock by exactly `backoff_base_seconds`, the documented first
+    /// interval.
+    #[test]
+    fn first_staging_retry_backs_off_by_the_base() {
+        let policy = RecoveryPolicy::default();
+        let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c2050(), CudaSwConfig::improved());
+        // H2D copy 0 is the first group upload; a failed copy moves no
+        // simulated time, so the retry starts at the backoff alone.
+        driver
+            .dev
+            .inject_faults(FaultPlan::none().with_transient(FaultSite::HostToDevice, 0));
+        let mut worker = DeviceLaneWorker {
+            lane: 0,
+            driver,
+            shard: database_with_lengths("lane", &[30, 40, 50], 3),
+            staged: None,
+            alive: true,
+            policy: policy.clone(),
+        };
+        let ((), run) = obs::capture(|| worker.stage());
+        assert!(worker.staged.is_some(), "the retry must stage the shard");
+        let starts: Vec<f64> = run
+            .trace
+            .spans_named("stage_database")
+            .map(|s| s.start)
+            .collect();
+        assert_eq!(starts.len(), 2, "one failed attempt, one retry");
+        assert_eq!(starts[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            starts[1].to_bits(),
+            policy.backoff_base_seconds.to_bits(),
+            "first retry backed off {} s, base is {} s",
+            starts[1],
+            policy.backoff_base_seconds
+        );
     }
 }
