@@ -40,9 +40,7 @@ use crate::cache::ProfileCache;
 use crate::health::{HealthPolicy, HealthTracker};
 use crate::request::SearchRequest;
 use cudasw_core::multi_gpu::shard_database;
-use cudasw_core::{
-    CudaSwConfig, CudaSwDriver, RecoveryEvent, RecoveryPolicy, RecoveryReport, StagedDatabase,
-};
+use cudasw_core::{CudaSwConfig, CudaSwDriver, RecoveryPolicy, RecoveryReport, StagedDatabase};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_db::Database;
 use sw_simd::{search_uncancelled, HostFaultPlan, PoolConfig, Precision, QueryEngine};
@@ -508,28 +506,20 @@ impl WaveExecutor {
                 Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
                     let backoff =
                         self.policy.backoff_base_seconds * f64::from(1u32 << attempt.min(20));
-                    if deadline.is_some_and(|d| obs::now() + backoff > d) {
+                    if let Some(d) = deadline.filter(|&d| obs::now() + backoff > d) {
                         // Budget exhausted: no more staging retries — the
                         // wave runs un-staged (per-query searches still
                         // respect their own budgets).
-                        recovery.budget_denied_retries += 1;
-                        recovery.events.push(RecoveryEvent::BudgetDenied {
-                            error: e.to_string(),
-                        });
+                        recovery.note_budget_denied(&e, d);
                         obs::counter_add("cudasw.serve.budget_denied_stagings", &[], 1.0);
                         obs::counter_add("cudasw.serve.staging_fallbacks", &[], 1.0);
                         return Ok(());
                     }
                     attempt += 1;
-                    recovery.retries += 1;
-                    recovery.backoff_seconds += backoff;
-                    recovery.events.push(RecoveryEvent::Retry {
-                        error: e.to_string(),
-                        attempt,
-                    });
+                    // Advances the simulated clock by `backoff`.
+                    recovery.note_retry(&e, attempt, &self.policy);
                     *lane_seconds += backoff;
                     obs::counter_add("cudasw.serve.staging_retries", &[], 1.0);
-                    obs::advance(backoff);
                 }
                 Err(GpuError::DeviceLost) => {
                     self.lanes[s].alive = false;
@@ -612,12 +602,11 @@ impl WaveExecutor {
                             + rr.recovery.backoff_seconds;
                         *total_cells += rr.result.total_cells();
                         recovery.merge(&rr.recovery);
-                        recovery.shard_redispatches += 1;
-                        recovery.events.push(RecoveryEvent::ShardRedispatch {
-                            from_device: self.lanes[dead].device,
-                            to_device: self.lanes[t].device,
-                            sequences: shard.len(),
-                        });
+                        recovery.note_redispatch(
+                            self.lanes[dead].device,
+                            self.lanes[t].device,
+                            shard.len(),
+                        );
                         obs::counter_add("cudasw.serve.redispatches", &[], 1.0);
                         served = true;
                         break;
@@ -648,11 +637,7 @@ impl WaveExecutor {
                 scores[q][dead + j * k] = v;
             }
             sw_simd::record_stats(engine.kind(), &r.stats);
-            recovery.cpu_fallback_seqs += shard.len() as u64;
-            recovery.degraded = true;
-            recovery.events.push(RecoveryEvent::CpuFallback {
-                sequences: shard.len(),
-            });
+            recovery.note_cpu_fallback(shard.len());
             obs::counter_add("cudasw.serve.cpu_fallback_seqs", &[], shard.len() as f64);
         }
         Ok(())
