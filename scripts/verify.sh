@@ -13,11 +13,12 @@ cargo build --release --offline --workspace --examples
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --workspace
 
-# The paper-claims regression suite and the crash matrix, named
+# The paper-claims regression suite, the crash matrix and the two golden
+# suites (driver entry points, simulator launch counters), named
 # explicitly so a workspace filter can never silently drop them (see
 # EXPERIMENTS.md).
 cargo test -q --offline --test paper_claims --test observability --test differential \
-  --test crash_matrix
+  --test crash_matrix --test executor_golden --test sim_counters_golden --test device_opt
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
