@@ -34,7 +34,7 @@
 //! [`CancelToken`] (the crash-only pool polls it every few stripe
 //! columns) and aborts whatever remains. No path joins indefinitely.
 
-use crate::lane::{spawn_device_lane, spawn_host_lane, LaneCmd, LaneDone, LaneHandle};
+use crate::lane::{spawn_device_lane, spawn_host_lane, HostCmd, LaneCmd, LaneDone, LaneHandle};
 use cudasw_core::multi_gpu::shard_database;
 use cudasw_core::{CudaSwConfig, RecoveryPolicy};
 use gpu_sim::{DeviceSpec, FaultPlan};
@@ -361,10 +361,9 @@ impl Gateway {
             device_lanes.push(spawn_device_lane(
                 s,
                 spec,
-                &cfg.search,
+                cfg,
                 shard,
                 plans.get(s).cloned().unwrap_or_else(FaultPlan::none),
-                &cfg.recovery,
                 tx.clone(),
             ));
         }
@@ -472,9 +471,9 @@ struct Dispatcher {
     queue: AdmissionQueue,
     batcher: Batcher,
     health: HealthTracker,
-    device_lanes: Vec<LaneHandle>,
+    device_lanes: Vec<LaneHandle<LaneCmd>>,
     lane_alive: Vec<bool>,
-    host: Option<LaneHandle>,
+    host: Option<LaneHandle<HostCmd>>,
     k: usize,
     db_len: usize,
     replies: HashMap<u64, Sender<Outcome>>,
@@ -606,7 +605,7 @@ impl Dispatcher {
             let _ = lane.tx.send(LaneCmd::Stop);
         }
         if let Some(host) = &self.host {
-            let _ = host.tx.send(LaneCmd::Stop);
+            let _ = host.tx.send(HostCmd::Stop);
         }
         for lane in lanes {
             let _ = lane.join.join();
@@ -664,9 +663,7 @@ impl Dispatcher {
                     continue;
                 }
                 // Worker thread is gone: treat as a lane death.
-                self.lane_alive[s] = false;
-                self.lane_deaths += 1;
-                obs::counter_add("cudasw.gateway.lane_deaths", &[], 1.0);
+                self.lane_died(s, now);
             } else if self.lane_alive[s] {
                 obs::counter_add("cudasw.gateway.breaker_skips", &[], 1.0);
             }
@@ -677,9 +674,10 @@ impl Dispatcher {
         if let Some(host) = &self.host {
             if host
                 .tx
-                .send(LaneCmd::Exec {
+                .send(HostCmd::Exec {
                     wave_id,
                     wave: wave.clone(),
+                    shard_of: devices,
                 })
                 .is_ok()
             {
@@ -713,7 +711,7 @@ impl Dispatcher {
         match &self.host {
             Some(host) => host
                 .tx
-                .send(LaneCmd::Owed {
+                .send(HostCmd::Exec {
                     wave_id,
                     wave: inf.wave.clone(),
                     shard_of: s,
@@ -723,6 +721,16 @@ impl Dispatcher {
         }
     }
 
+    /// Record that device lane `s` is dead: counted once, reported to
+    /// its breaker every time.
+    fn lane_died(&mut self, s: usize, now: f64) {
+        if std::mem::replace(&mut self.lane_alive[s], false) {
+            self.lane_deaths += 1;
+            obs::counter_add("cudasw.gateway.lane_deaths", &[], 1.0);
+        }
+        self.health.observe_death(s, now);
+    }
+
     /// Fold one lane's shard part into its wave; finish the wave when
     /// every part reported.
     fn integrate(&mut self, done: LaneDone) {
@@ -730,12 +738,7 @@ impl Dispatcher {
         let devices = self.k - 1;
         if done.shard_of == done.lane && done.lane < devices {
             if done.died {
-                if self.lane_alive[done.lane] {
-                    self.lane_alive[done.lane] = false;
-                    self.lane_deaths += 1;
-                    obs::counter_add("cudasw.gateway.lane_deaths", &[], 1.0);
-                }
-                self.health.observe_death(done.lane, now);
+                self.lane_died(done.lane, now);
             } else {
                 self.health.observe_wave(done.lane, done.faulted, now);
                 self.health.observe_latency(done.lane, done.seconds);

@@ -5,16 +5,18 @@
 //! position `j` is database sequence `s + j·k`). Lanes `0..devices` are
 //! gpu-sim device lanes; lane `devices` is the **host lane**, computing
 //! its shard on the crash-only work-stealing SIMD pool. Each worker owns
-//! its driver and shard outright and talks to the dispatcher only
-//! through channels, so a wave's shard parts genuinely execute in
-//! parallel on the wall clock.
+//! its lane outright and talks to the dispatcher only through channels,
+//! so a wave's shard parts genuinely execute in parallel on the wall
+//! clock.
 //!
 //! Failure semantics mirror the simulated executor, scoped to what a
 //! worker thread can do on its own:
 //!
-//! * a device lane serves each query from the device-resident staging
-//!   fast path, dropping to [`CudaSwDriver::search_resilient`] when the
-//!   staged handle faults; an unrecoverable lane death reports the
+//! * a device worker drives one [`ShardLane`], the same staging, staged
+//!   fast path and resilient-fallback ladder the simulated executor
+//!   drives, with no deadline budget (wall mode bounds tails with
+//!   admission, cancellation and the breakers). A lane death — or any
+//!   search error, which the worker cannot propagate — reports the
 //!   remaining queries as unserved (`None`) and the dispatcher re-owes
 //!   them to the host lane;
 //! * the host lane runs every search under
@@ -27,27 +29,32 @@
 //! Scores are exact on every path, so which lane (or fallback) served a
 //! shard never changes a response byte.
 
-use crate::gateway::FrontMsg;
-use cudasw_core::{CudaSwConfig, CudaSwDriver, RecoveryPolicy, StagedDatabase};
+use crate::gateway::{FrontMsg, GatewayConfig};
+use cudasw_core::RecoveryReport;
 use gpu_sim::{DeviceSpec, FaultPlan};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 use std::time::Instant;
+use sw_align::PackedProfile;
 use sw_db::Database;
-use sw_serve::Wave;
+use sw_serve::{LaneOutcome, ShardLane, Wave};
 use sw_simd::{search_protected, CancelToken, HostFaultPlan, PoolConfig, Precision, QueryEngine};
 
-/// A command from the dispatcher to a lane worker.
+/// A command from the dispatcher to a device lane worker.
 pub(crate) enum LaneCmd {
     /// Execute the worker's own shard of `wave`.
+    Exec { wave_id: u64, wave: Arc<Wave> },
+    /// Drain and exit the worker thread.
+    Stop,
+}
+
+/// A command from the dispatcher to the host lane worker.
+pub(crate) enum HostCmd {
+    /// Compute shard `shard_of` of `wave`: the host lane's own, or one
+    /// owed by a dead or quarantined device lane.
     Exec {
         wave_id: u64,
-        wave: std::sync::Arc<Wave>,
-    },
-    /// Host lane only: compute shard `shard_of` of `wave` on behalf of a
-    /// dead or quarantined device lane.
-    Owed {
-        wave_id: u64,
-        wave: std::sync::Arc<Wave>,
+        wave: Arc<Wave>,
         shard_of: usize,
     },
     /// Drain and exit the worker thread.
@@ -80,214 +87,82 @@ pub(crate) struct LaneDone {
 }
 
 /// A spawned worker: its command channel and join handle.
-pub(crate) struct LaneHandle {
-    pub tx: Sender<LaneCmd>,
+pub(crate) struct LaneHandle<C> {
+    pub tx: Sender<C>,
     pub join: std::thread::JoinHandle<()>,
 }
 
-/// Spawn a gpu-sim device lane worker over `shard`.
-#[allow(clippy::too_many_arguments)]
+/// Spawn a gpu-sim device lane worker over `shard`, with `plan` installed
+/// on its device. The lane is built on the worker thread.
 pub(crate) fn spawn_device_lane(
     lane: usize,
     spec: &DeviceSpec,
-    config: &CudaSwConfig,
+    cfg: &GatewayConfig,
     shard: Database,
     plan: FaultPlan,
-    policy: &RecoveryPolicy,
     out: Sender<FrontMsg>,
-) -> LaneHandle {
+) -> LaneHandle<LaneCmd> {
     let (tx, rx) = std::sync::mpsc::channel();
     let spec = spec.clone();
-    let config = config.clone();
-    let policy = policy.clone();
+    let search = cfg.search.clone();
+    let policy = cfg.recovery.clone();
     let join = std::thread::spawn(move || {
-        let mut driver = CudaSwDriver::new(spec, config);
-        driver.dev.inject_faults(plan);
-        driver.dev.set_integrity_checks(policy.integrity_checks);
-        driver.dev.set_watchdog_cycles(policy.watchdog_cycles);
-        let mut worker = DeviceLaneWorker {
-            lane,
-            driver,
-            shard,
-            staged: None,
-            alive: true,
-            policy,
-        };
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                LaneCmd::Exec { wave_id, wave } => {
-                    let done = worker.exec(wave_id, &wave);
-                    if out.send(FrontMsg::Done(done)).is_err() {
-                        break;
-                    }
-                }
-                // Device lanes never receive owed work (the dispatcher
-                // routes it to the host lane); acknowledge defensively so
-                // a routing bug cannot wedge a wave.
-                LaneCmd::Owed {
-                    wave_id,
-                    wave,
-                    shard_of,
-                } => {
-                    let n = wave.requests.len();
-                    let done = LaneDone {
-                        lane,
-                        wave_id,
-                        shard_of,
-                        scores: vec![None; n],
-                        cells: 0,
-                        degraded: false,
-                        faulted: false,
-                        died: false,
-                        cancelled: false,
-                        seconds: 0.0,
-                    };
-                    if out.send(FrontMsg::Done(done)).is_err() {
-                        break;
-                    }
-                }
-                LaneCmd::Stop => break,
+        let mut shard_lane = ShardLane::new(&spec, &search, shard, plan, &policy);
+        while let Ok(LaneCmd::Exec { wave_id, wave }) = rx.recv() {
+            let done = exec_device(lane, &mut shard_lane, wave_id, &wave);
+            if out.send(FrontMsg::Done(done)).is_err() {
+                break;
             }
         }
     });
     LaneHandle { tx, join }
 }
 
-struct DeviceLaneWorker {
-    lane: usize,
-    driver: CudaSwDriver,
-    shard: Database,
-    staged: Option<StagedDatabase>,
-    alive: bool,
-    policy: RecoveryPolicy,
-}
-
-impl DeviceLaneWorker {
-    /// The per-lane recovery policy: no CPU fallback (the dispatcher
-    /// owns re-dispatch) and no modeled deadline budget — in wall-clock
-    /// mode tail control comes from admission, cancellation and the
-    /// breakers, not from the simulated device clock.
-    fn lane_policy(&self) -> RecoveryPolicy {
-        RecoveryPolicy {
-            cpu_fallback: false,
-            deadline_seconds: None,
-            ..self.policy.clone()
-        }
-    }
-
-    /// Stage the shard, retrying transient faults. Backoff is modeled on
-    /// the worker's thread-local simulated device clock (no wall sleep —
-    /// a simulated device's retry pause must not stall a real wave).
-    fn stage(&mut self) {
-        let mut attempt = 0u32;
-        loop {
-            let shard = self.shard.clone();
-            match self.driver.stage_database(&shard) {
-                Ok(staged) => {
-                    self.staged = Some(staged);
-                    obs::counter_add("cudasw.gateway.db_stagings", &[], 1.0);
-                    return;
+/// Serve `lane`'s own shard of every request of `wave` on its device.
+fn exec_device(lane: usize, shard_lane: &mut ShardLane, wave_id: u64, wave: &Wave) -> LaneDone {
+    let t0 = Instant::now();
+    let mut scores: Vec<Option<Vec<i32>>> = vec![None; wave.requests.len()];
+    let mut cells = 0u64;
+    let mut recovery = RecoveryReport::default();
+    let faults_before = shard_lane.fault_count();
+    if shard_lane.is_alive() {
+        let params = &wave.requests[0].params;
+        shard_lane.set_params(params);
+        // A staging error leaves the shard un-staged; the resilient
+        // search serves it instead.
+        let _ = shard_lane.stage(None, &mut recovery);
+        for &q in &wave.exec_order {
+            if !shard_lane.is_alive() {
+                break;
+            }
+            let query = &wave.requests[q].query;
+            let profile = PackedProfile::build(&params.matrix, query);
+            match shard_lane.serve(query, &profile, None, &mut recovery) {
+                Ok(LaneOutcome::Served {
+                    scores: part,
+                    cells: c,
+                    ..
+                }) => {
+                    scores[q] = Some(part);
+                    cells += c;
                 }
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    // The first retry waits the base interval; each later
-                    // one doubles it.
-                    let backoff =
-                        self.policy.backoff_base_seconds * f64::from(1u32 << attempt.min(20));
-                    attempt += 1;
-                    obs::advance(backoff);
-                    obs::counter_add("cudasw.gateway.staging_retries", &[], 1.0);
-                }
-                Err(gpu_sim::GpuError::DeviceLost) => {
-                    self.alive = false;
-                    return;
-                }
-                Err(_) => {
-                    // OOM or retries exhausted: serve un-staged (the
-                    // resilient path re-chunks around OOM itself).
-                    obs::counter_add("cudasw.gateway.staging_fallbacks", &[], 1.0);
-                    return;
-                }
+                // A search error leaves the lane dead too: the dispatcher
+                // re-owes the rest of the wave.
+                Ok(LaneOutcome::Died) | Err(_) => break,
             }
         }
     }
-
-    fn exec(&mut self, wave_id: u64, wave: &Wave) -> LaneDone {
-        let t0 = Instant::now();
-        let n = wave.requests.len();
-        let mut scores: Vec<Option<Vec<i32>>> = vec![None; n];
-        let mut cells = 0u64;
-        let mut degraded = false;
-        let alive_at_start = self.alive;
-        let faults_before = self.driver.dev.fault_stats().total();
-        if alive_at_start {
-            self.driver.config.params = wave.requests[0].params.clone();
-            if self.staged.is_none() {
-                self.stage();
-            }
-            for &q in &wave.exec_order {
-                if !self.alive {
-                    break;
-                }
-                let req = &wave.requests[q];
-                let mut served = false;
-                // Fast path: the device-resident shard.
-                if let Some(staged) = self.staged.clone() {
-                    match self.driver.search_staged(&req.query, &staged) {
-                        Ok(r) => {
-                            cells += r.total_cells();
-                            scores[q] = Some(r.scores);
-                            served = true;
-                        }
-                        Err(e) if e.is_recoverable() => {
-                            // Handle invalidated by recovery machinery:
-                            // drop it, take the resilient path.
-                            self.staged = None;
-                            obs::counter_add("cudasw.gateway.staged_faults", &[], 1.0);
-                        }
-                        Err(_) => {
-                            // Non-recoverable device error: the worker
-                            // cannot propagate it, so the lane dies and
-                            // the dispatcher re-owes the work.
-                            self.alive = false;
-                        }
-                    }
-                }
-                if !served && self.alive {
-                    let shard = self.shard.clone();
-                    match self
-                        .driver
-                        .search_resilient(&req.query, &shard, &self.lane_policy())
-                    {
-                        Ok(rr) => {
-                            cells += rr.result.total_cells();
-                            scores[q] = Some(rr.result.scores);
-                            if rr.recovery.degraded {
-                                degraded = true;
-                            }
-                            // search_resilient reset the allocator; any
-                            // staged handle is stale now.
-                            self.staged = None;
-                        }
-                        Err(_) => {
-                            self.alive = false;
-                        }
-                    }
-                }
-            }
-        }
-        let faulted = self.driver.dev.fault_stats().total() > faults_before;
-        LaneDone {
-            lane: self.lane,
-            wave_id,
-            shard_of: self.lane,
-            scores,
-            cells,
-            degraded,
-            faulted,
-            died: !self.alive,
-            cancelled: false,
-            seconds: t0.elapsed().as_secs_f64(),
-        }
+    LaneDone {
+        lane,
+        wave_id,
+        shard_of: lane,
+        scores,
+        cells,
+        degraded: recovery.degraded,
+        faulted: shard_lane.fault_count() > faults_before,
+        died: !shard_lane.is_alive(),
+        cancelled: false,
+        seconds: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -301,7 +176,7 @@ pub(crate) fn spawn_host_lane(
     faults: HostFaultPlan,
     cancel: CancelToken,
     out: Sender<FrontMsg>,
-) -> LaneHandle {
+) -> LaneHandle<HostCmd> {
     let (tx, rx) = std::sync::mpsc::channel();
     let join = std::thread::spawn(move || {
         let worker = HostLaneWorker {
@@ -311,7 +186,17 @@ pub(crate) fn spawn_host_lane(
             faults,
             cancel,
         };
-        host_lane_loop(&worker, &rx, &out);
+        while let Ok(HostCmd::Exec {
+            wave_id,
+            wave,
+            shard_of,
+        }) = rx.recv()
+        {
+            let done = worker.exec(wave_id, &wave, shard_of);
+            if out.send(FrontMsg::Done(done)).is_err() {
+                break;
+            }
+        }
     });
     LaneHandle { tx, join }
 }
@@ -322,23 +207,6 @@ struct HostLaneWorker {
     threads: usize,
     faults: HostFaultPlan,
     cancel: CancelToken,
-}
-
-fn host_lane_loop(worker: &HostLaneWorker, rx: &Receiver<LaneCmd>, out: &Sender<FrontMsg>) {
-    while let Ok(cmd) = rx.recv() {
-        let done = match cmd {
-            LaneCmd::Exec { wave_id, wave } => worker.exec(wave_id, &wave, worker.lane),
-            LaneCmd::Owed {
-                wave_id,
-                wave,
-                shard_of,
-            } => worker.exec(wave_id, &wave, shard_of),
-            LaneCmd::Stop => break,
-        };
-        if out.send(FrontMsg::Done(done)).is_err() {
-            break;
-        }
-    }
 }
 
 impl HostLaneWorker {
@@ -391,50 +259,5 @@ impl HostLaneWorker {
             cancelled,
             seconds: t0.elapsed().as_secs_f64(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gpu_sim::FaultSite;
-    use sw_db::synth::database_with_lengths;
-
-    /// One injected staging transient advances the worker's simulated
-    /// clock by exactly `backoff_base_seconds`, the documented first
-    /// interval.
-    #[test]
-    fn first_staging_retry_backs_off_by_the_base() {
-        let policy = RecoveryPolicy::default();
-        let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c2050(), CudaSwConfig::improved());
-        // H2D copy 0 is the first group upload; a failed copy moves no
-        // simulated time, so the retry starts at the backoff alone.
-        driver
-            .dev
-            .inject_faults(FaultPlan::none().with_transient(FaultSite::HostToDevice, 0));
-        let mut worker = DeviceLaneWorker {
-            lane: 0,
-            driver,
-            shard: database_with_lengths("lane", &[30, 40, 50], 3),
-            staged: None,
-            alive: true,
-            policy: policy.clone(),
-        };
-        let ((), run) = obs::capture(|| worker.stage());
-        assert!(worker.staged.is_some(), "the retry must stage the shard");
-        let starts: Vec<f64> = run
-            .trace
-            .spans_named("stage_database")
-            .map(|s| s.start)
-            .collect();
-        assert_eq!(starts.len(), 2, "one failed attempt, one retry");
-        assert_eq!(starts[0].to_bits(), 0.0f64.to_bits());
-        assert_eq!(
-            starts[1].to_bits(),
-            policy.backoff_base_seconds.to_bits(),
-            "first retry backed off {} s, base is {} s",
-            starts[1],
-            policy.backoff_base_seconds
-        );
     }
 }

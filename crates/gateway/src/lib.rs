@@ -13,9 +13,10 @@
 //!   (front-end enqueue → response), so tail percentiles include
 //!   queueing delay under overload — not just per-wave service time.
 //! * [`lane`] — the execution backend: one worker thread per gpu-sim
-//!   shard lane (device-resident staging fast path, resilient fallback,
-//!   lane-death reporting) plus one host lane running shard work on the
-//!   crash-only work-stealing SIMD pool
+//!   device, each driving one [`sw_serve::ShardLane`] (the same staging,
+//!   staged fast path, resilient fallback and lane-death ladder the
+//!   simulated executor drives), plus one host lane running shard work
+//!   on the crash-only work-stealing SIMD pool
 //!   ([`sw_simd::search_protected`], multi-threaded). Work owed by dead
 //!   or breaker-quarantined device lanes is re-dispatched to the host
 //!   lane — the wall-clock analogue of the simulated redispatch ladder.
@@ -42,7 +43,10 @@
 //! `drain.forced_cancels`; plus the shared end-to-end
 //! `cudasw.serve.latency_seconds` histogram on
 //! [`obs::LATENCY_SECONDS_BOUNDS`]. Worker-thread metrics stay on the
-//! worker's thread-local recorder; the dispatcher snapshot in
+//! worker's thread-local recorder — a device worker's lane counters carry
+//! the shared `cudasw.serve.*` names (`db_stagings`, `staging_retries`,
+//! `staging_fallbacks`, `staged_faults`, `lane_deaths`) and its staging
+//! retries the `cudasw.core.recovery.*` ones; the dispatcher snapshot in
 //! [`gateway::GatewayReport::metrics`] covers the front-end view.
 // Crash-only discipline: library code may not panic through `unwrap` /
 // `expect` — every fallible path must recover or return a typed error.

@@ -1,16 +1,10 @@
-//! Wave execution over resilient multi-GPU shard lanes.
+//! Wave scheduling over resilient multi-GPU shard lanes.
 //!
-//! One [`Lane`] per simulated device, each owning one round-robin shard
-//! of the database ([`cudasw_core::multi_gpu::shard_database`] layout:
-//! shard `s` position `j` is database sequence `s + j·k`). The fast path
-//! keeps the shard device-resident ([`StagedDatabase`]) so a wave of `N`
-//! compatible queries stages the database **once** and pays only two
-//! per-query H2D transfers each; every fault path inherits the resilient
-//! driver's recovery ladder:
+//! One [`ShardLane`] per simulated device, each owning one round-robin
+//! shard of the database and the per-query recovery ladder (staging,
+//! staged fast path, resilient-search fallback, lane death). The
+//! executor keeps only scheduling:
 //!
-//! * a fault inside a staged search drops the handle and reruns the
-//!   query through [`CudaSwDriver::search_resilient`] (retry, backoff,
-//!   OOM re-chunking, quarantine);
 //! * a lane whose device dies has its shard re-dispatched to a survivor;
 //! * with no survivors left the shard is computed on the host SIMD
 //!   oracle (when the policy allows CPU fallback).
@@ -22,14 +16,15 @@
 //!   deltas — an open breaker routes the lane's shard work through the
 //!   owed machinery instead of paying the retry ladder every wave;
 //! * a *dead* lane's breaker paces revival probes
-//!   ([`gpu_sim::GpuDevice::try_revive`]); a revived lane restages and
-//!   re-earns trust through half-open;
+//!   ([`ShardLane::try_revive`]); a revived lane restages and re-earns
+//!   trust through half-open;
 //! * a straggling lane (latency EWMA past the hedge threshold) has its
 //!   queries speculatively re-issued on the host SIMD engine —
 //!   first-result-wins, committed exactly once;
 //! * with deadline propagation on, every device dispatch carries the
-//!   query's remaining EDF budget ([`RecoveryPolicy::deadline_seconds`])
-//!   so retries and redispatches degrade instead of overrunning it.
+//!   query's remaining EDF budget
+//!   ([`cudasw_core::RecoveryPolicy::deadline_seconds`]) so retries and
+//!   redispatches degrade instead of overrunning it.
 //!
 //! Scores are exact integer Smith-Waterman scores on every path, so a
 //! served result is bit-identical to a standalone resilient search no
@@ -37,22 +32,15 @@
 
 use crate::batch::Wave;
 use crate::cache::ProfileCache;
-use crate::health::{HealthPolicy, HealthTracker};
+use crate::health::HealthTracker;
+use crate::lane::{LaneOutcome, ShardLane};
 use crate::request::SearchRequest;
+use crate::service::ServeConfig;
 use cudasw_core::multi_gpu::shard_database;
-use cudasw_core::{CudaSwConfig, CudaSwDriver, RecoveryPolicy, RecoveryReport, StagedDatabase};
+use cudasw_core::RecoveryReport;
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_db::Database;
 use sw_simd::{search_uncancelled, HostFaultPlan, PoolConfig, Precision, QueryEngine};
-
-/// One device lane: a driver bound to one database shard.
-struct Lane {
-    device: usize,
-    driver: CudaSwDriver,
-    shard: Database,
-    staged: Option<StagedDatabase>,
-    alive: bool,
-}
 
 /// Host SIMD throughput the hedge cost model assumes, cells/second. The
 /// hedge only needs a *relative* cost to decide the first finisher, and
@@ -84,10 +72,41 @@ pub struct WaveOutcome {
     pub total_cells: u64,
 }
 
+/// A wave in progress: what its lanes have produced so far.
+struct WaveState {
+    /// Lanes, i.e. the shard stride `k`.
+    k: usize,
+    /// Per-request full-database scores, logical order.
+    scores: Vec<Vec<i32>>,
+    recovery: RecoveryReport,
+    /// Simulated seconds each lane has been busy this wave.
+    lane_seconds: Vec<f64>,
+    total_cells: u64,
+    /// (lane, request-index) pairs whose shard scores are still owed
+    /// because the lane died mid-wave, was already dead, or is
+    /// quarantined by its breaker.
+    owed: Vec<(usize, usize)>,
+}
+
+impl WaveState {
+    /// Write shard `s`'s scores for request `q` into their database slots.
+    fn place(&mut self, q: usize, s: usize, part: &[i32]) {
+        for (j, &v) in part.iter().enumerate() {
+            self.scores[q][s + j * self.k] = v;
+        }
+    }
+
+    /// Owe shard `s`'s work for every request in `requests`.
+    fn owe(&mut self, s: usize, requests: &[usize]) {
+        self.owed.extend(requests.iter().map(|&q| (s, q)));
+    }
+}
+
 /// The scheduler's execution backend: a farm of resilient shard lanes.
 pub struct WaveExecutor {
-    lanes: Vec<Lane>,
-    policy: RecoveryPolicy,
+    lanes: Vec<ShardLane>,
+    /// Compute owed work on the host SIMD oracle once no lane is left.
+    cpu_fallback: bool,
     db_len: usize,
     health: HealthTracker,
     propagate_deadlines: bool,
@@ -99,50 +118,25 @@ pub struct WaveExecutor {
 }
 
 impl WaveExecutor {
-    /// Bring up `devices` lanes of `spec` over round-robin shards of
+    /// Bring up `cfg.devices` lanes of `spec` over round-robin shards of
     /// `db`, installing `plans[i]` on lane `i` (missing entries get
     /// [`FaultPlan::none`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        spec: &DeviceSpec,
-        config: &CudaSwConfig,
-        db: &Database,
-        devices: usize,
-        plans: &[FaultPlan],
-        policy: &RecoveryPolicy,
-        health: &HealthPolicy,
-        propagate_deadlines: bool,
-        host_faults: &HostFaultPlan,
-    ) -> Self {
-        let devices = devices.max(1);
-        let shards = shard_database(db, devices);
-        let lanes: Vec<Lane> = shards
+    pub fn new(spec: &DeviceSpec, cfg: &ServeConfig, db: &Database, plans: &[FaultPlan]) -> Self {
+        let lanes: Vec<ShardLane> = shard_database(db, cfg.devices.max(1))
             .into_iter()
             .enumerate()
-            .map(|(device, shard)| {
-                let mut driver = CudaSwDriver::new(spec.clone(), config.clone());
-                driver
-                    .dev
-                    .inject_faults(plans.get(device).cloned().unwrap_or_else(FaultPlan::none));
-                driver.dev.set_integrity_checks(policy.integrity_checks);
-                driver.dev.set_watchdog_cycles(policy.watchdog_cycles);
-                Lane {
-                    device,
-                    driver,
-                    shard,
-                    staged: None,
-                    alive: true,
-                }
+            .map(|(s, shard)| {
+                let plan = plans.get(s).cloned().unwrap_or_else(FaultPlan::none);
+                ShardLane::new(spec, &cfg.search, shard, plan, &cfg.recovery)
             })
             .collect();
-        let health = HealthTracker::new(lanes.len(), health.clone());
         Self {
+            health: HealthTracker::new(lanes.len(), cfg.health.clone()),
             lanes,
-            policy: policy.clone(),
+            cpu_fallback: cfg.recovery.cpu_fallback,
             db_len: db.len(),
-            health,
-            propagate_deadlines,
-            host_faults: host_faults.clone(),
+            propagate_deadlines: cfg.propagate_deadlines,
+            host_faults: cfg.host_faults.clone(),
         }
     }
 
@@ -154,7 +148,7 @@ impl WaveExecutor {
 
     /// Number of lanes still alive.
     pub fn lanes_alive(&self) -> usize {
-        self.lanes.iter().filter(|l| l.alive).count()
+        self.lanes.iter().filter(|l| l.is_alive()).count()
     }
 
     /// Number of lanes the executor started with.
@@ -167,16 +161,13 @@ impl WaveExecutor {
         &self.health
     }
 
-    /// The absolute simulated-clock deadline for a device dispatch that
-    /// starts `service_elapsed` seconds into the wave: the query's
-    /// remaining EDF budget mapped onto the device clock. `None` when
-    /// deadline propagation is off or the request carries no meaningful
-    /// budget.
-    fn query_deadline(&self, req: &SearchRequest, service_elapsed: f64) -> Option<f64> {
-        if !self.propagate_deadlines {
-            return None;
-        }
-        Some(obs::now() + (req.deadline_seconds - service_elapsed).max(0.0))
+    /// The deadline budget of a device call for `req` that starts
+    /// `service_elapsed` seconds into the wave: the query's remaining EDF
+    /// budget, in seconds from the call's start. `None` when deadline
+    /// propagation is off.
+    fn budget(&self, req: &SearchRequest, service_elapsed: f64) -> Option<f64> {
+        self.propagate_deadlines
+            .then(|| (req.deadline_seconds - service_elapsed).max(0.0))
     }
 
     /// Serve every request of `wave` (single parameter class, enforced by
@@ -204,219 +195,145 @@ impl WaveExecutor {
         }
         let sp = obs::span("wave", "serve");
         let k = self.lanes.len();
-        let params = wave.requests[0].params.clone();
+        let params = &wave.requests[0].params;
         // One profile per request, cache-shared across all lanes.
         let profiles: Vec<_> = wave
             .requests
             .iter()
             .map(|r| cache.get_or_build(&params.matrix, &r.query))
             .collect();
+        let mut st = WaveState {
+            k,
+            scores: vec![vec![0i32; self.db_len]; n],
+            recovery: RecoveryReport::default(),
+            lane_seconds: vec![0.0; k],
+            total_cells: 0,
+            owed: Vec::new(),
+        };
 
-        let mut scores = vec![vec![0i32; self.db_len]; n];
-        let mut recovery = RecoveryReport::default();
-        let mut lane_seconds = vec![0.0f64; k];
-        let mut total_cells = 0u64;
-        // (lane, request-index) pairs whose shard scores are still owed
-        // because the lane died mid-wave, was already dead, or is
-        // quarantined by its breaker.
-        let mut owed: Vec<(usize, usize)> = Vec::new();
-
-        for (s, seconds) in lane_seconds.iter_mut().enumerate() {
-            if !self.lanes[s].alive {
+        for s in 0..k {
+            if !self.lanes[s].is_alive() {
                 // The breaker paces revival probes against the dead
                 // device; until one succeeds the shard work is owed.
-                if self.health.admits(s, now) && !self.try_revive_lane(s, now) {
-                    self.health.observe_death(s, now);
+                if self.health.admits(s, now) {
+                    if self.lanes[s].try_revive() {
+                        // Back with no staged handle; re-earns trust
+                        // through half-open.
+                        self.health.note_revival(s, now);
+                    } else {
+                        self.health.observe_death(s, now);
+                    }
                 }
-                if !self.lanes[s].alive {
-                    owed.extend(wave.exec_order.iter().map(|&q| (s, q)));
+                if !self.lanes[s].is_alive() {
+                    st.owe(s, &wave.exec_order);
                     continue;
                 }
             } else if !self.health.admits(s, now) {
                 // Quarantined: route around the lane, no device traffic.
                 obs::counter_add("cudasw.serve.breaker_skips", &[], 1.0);
-                owed.extend(wave.exec_order.iter().map(|&q| (s, q)));
+                st.owe(s, &wave.exec_order);
                 continue;
             }
-            let faults_before = self.lanes[s].driver.dev.fault_stats().total();
-            let prev_lane = obs::set_lane(self.lanes[s].device as u32 + 1);
-            let outcome = self.run_lane_wave(
-                s,
-                wave,
-                now,
-                &params,
-                &profiles,
-                &mut scores,
-                &mut recovery,
-                seconds,
-                &mut total_cells,
-                &mut owed,
-            );
+            let faults_before = self.lanes[s].fault_count();
+            let prev_lane = obs::set_lane(s as u32 + 1);
+            let outcome = self.run_lane_wave(s, wave, now, &profiles, &mut st);
             obs::set_lane(prev_lane);
             outcome?;
-            if self.lanes[s].alive {
-                let faulted = self.lanes[s].driver.dev.fault_stats().total() > faults_before;
+            if self.lanes[s].is_alive() {
+                let faulted = self.lanes[s].fault_count() > faults_before;
                 self.health.observe_wave(s, faulted, now);
             } else {
                 self.health.observe_death(s, now);
             }
         }
 
-        self.settle_owed(
-            wave,
-            now,
-            &params,
-            owed,
-            &mut scores,
-            &mut recovery,
-            &mut lane_seconds,
-            &mut total_cells,
-        )?;
+        self.settle_owed(wave, now, &mut st)?;
 
-        let service_seconds = lane_seconds.iter().cloned().fold(0.0, f64::max);
+        let service_seconds = st.lane_seconds.iter().cloned().fold(0.0, f64::max);
         sp.end_with(&[
             ("requests", &n.to_string()),
             ("lanes", &self.lanes_alive().to_string()),
         ]);
         Ok(WaveOutcome {
-            scores,
-            recovery,
+            scores: st.scores,
+            recovery: st.recovery,
             service_seconds,
-            total_cells,
+            total_cells: st.total_cells,
         })
     }
 
-    /// One revival probe against dead lane `s`: on success the lane comes
-    /// back alive with no staged handle (the reset wiped device memory)
-    /// and re-enters the breaker through half-open.
-    fn try_revive_lane(&mut self, s: usize, now: f64) -> bool {
-        if self.lanes[s].driver.dev.try_revive() {
-            self.lanes[s].alive = true;
-            self.lanes[s].staged = None;
-            self.health.note_revival(s, now);
-            obs::counter_add("cudasw.serve.lane_revivals", &[], 1.0);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Run every wave query on lane `s`, staged fast path first. Pushes
-    /// un-served (lane died) work onto `owed`. Queries on a straggling
-    /// lane are hedged on the host SIMD engine, first-result-wins.
-    #[allow(clippy::too_many_arguments)]
+    /// un-served (lane died) work onto `st.owed`; a lane that dies while
+    /// staging owes the whole wave. Queries on a straggling lane are
+    /// hedged on the host SIMD engine, first-result-wins.
     fn run_lane_wave(
         &mut self,
         s: usize,
         wave: &Wave,
         now: f64,
-        params: &sw_align::SwParams,
         profiles: &[std::rc::Rc<sw_align::PackedProfile>],
-        scores: &mut [Vec<i32>],
-        recovery: &mut RecoveryReport,
-        lane_seconds: &mut f64,
-        total_cells: &mut u64,
-        owed: &mut Vec<(usize, usize)>,
+        st: &mut WaveState,
     ) -> Result<(), GpuError> {
-        let k = self.lanes.len();
-        self.lanes[s].driver.config.params = params.clone();
-        if self.lanes[s].staged.is_none() {
-            self.stage_lane(s, wave, now, recovery, lane_seconds)?;
+        let params = &wave.requests[0].params;
+        self.lanes[s].set_params(params);
+        // The wave is EDF-sorted, so requests[0] carries the tightest
+        // deadline — the budget staging must respect.
+        let budget = self.budget(&wave.requests[0], now);
+        st.lane_seconds[s] += self.lanes[s].stage(budget, &mut st.recovery)?;
+        if !self.lanes[s].is_alive() {
+            st.owe(s, &wave.exec_order);
+            return Ok(());
         }
         for (pos, &q) in wave.exec_order.iter().enumerate() {
             let req = &wave.requests[q];
             // Hedged dispatch: a straggling lane gets a speculative host
             // twin for this query before the device attempt, budgeted
             // against the query's remaining deadline.
-            let hedge = self.issue_hedge(s, req, params, now + *lane_seconds, recovery);
-            let gpu_start = *lane_seconds;
-            let mut served_secs: Option<f64> = None;
-            // Fast path: the resident shard plus the cached profile.
-            if let Some(staged) = self.lanes[s].staged.clone() {
-                match self.lanes[s].driver.search_staged_with_profile(
-                    &req.query,
-                    &profiles[q],
-                    &staged,
-                ) {
-                    Ok(r) => {
-                        for (j, &v) in r.scores.iter().enumerate() {
-                            scores[q][s + j * k] = v;
-                        }
-                        served_secs = Some(r.kernel_seconds() + r.transfer_seconds);
-                        *total_cells += r.total_cells();
-                    }
-                    Err(e) if e.is_recoverable() => {
-                        // The handle may have been invalidated by recovery
-                        // machinery; drop it and take the resilient path.
-                        self.lanes[s].staged = None;
-                        obs::counter_add("cudasw.serve.staged_faults", &[], 1.0);
-                    }
-                    Err(e) => return Err(e),
+            let hedge =
+                self.issue_hedge(s, req, params, now + st.lane_seconds[s], &mut st.recovery);
+            let gpu_start = st.lane_seconds[s];
+            let budget = self.budget(req, now + gpu_start);
+            let served = self.lanes[s].serve(&req.query, &profiles[q], budget, &mut st.recovery)?;
+            let gpu_secs = match served {
+                LaneOutcome::Served {
+                    scores,
+                    seconds,
+                    cells,
+                } => {
+                    st.place(q, s, &scores);
+                    st.total_cells += cells;
+                    seconds
                 }
-            }
-            if served_secs.is_none() {
-                // Resilient path: full recovery ladder on this lane's
-                // shard, bounded by the query's remaining deadline budget.
-                let shard = self.lanes[s].shard.clone();
-                let policy = RecoveryPolicy {
-                    deadline_seconds: self.query_deadline(req, now + *lane_seconds),
-                    ..self.lane_policy()
-                };
-                match self.lanes[s]
-                    .driver
-                    .search_resilient(&req.query, &shard, &policy)
-                {
-                    Ok(rr) => {
-                        for (j, &v) in rr.result.scores.iter().enumerate() {
-                            scores[q][s + j * k] = v;
-                        }
-                        served_secs = Some(
-                            rr.result.kernel_seconds()
-                                + rr.result.transfer_seconds
-                                + rr.recovery.backoff_seconds,
-                        );
-                        *total_cells += rr.result.total_cells();
-                        recovery.merge(&rr.recovery);
-                    }
-                    Err(e) if e.is_recoverable() => {
-                        // Lane is gone. If a hedge is in flight it covers
-                        // this query; the rest of the wave is owed to the
-                        // survivors either way.
-                        self.lanes[s].alive = false;
-                        obs::counter_add("cudasw.serve.lane_deaths", &[], 1.0);
-                        let rest = if let Some(h) = hedge {
-                            self.commit_hedge(s, q, &h, scores, recovery);
-                            *lane_seconds = gpu_start + h.seconds;
-                            pos + 1
-                        } else {
-                            pos
-                        };
-                        owed.extend(wave.exec_order[rest..].iter().map(|&qq| (s, qq)));
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
+                LaneOutcome::Died => {
+                    // If a hedge is in flight it covers this query; the
+                    // rest of the wave is owed to the survivors either way.
+                    let rest = if let Some(h) = hedge {
+                        commit_hedge(q, s, &h, st);
+                        st.lane_seconds[s] = gpu_start + h.seconds;
+                        pos + 1
+                    } else {
+                        pos
+                    };
+                    st.owe(s, &wave.exec_order[rest..]);
+                    return Ok(());
                 }
-            }
+            };
             // Exactly-once commitment: the first finisher's result stands.
             // Scores are bit-identical on both paths, so "which won" only
             // decides the lane's clock (and the degraded flag).
-            // Unreachable fallback: every path above either set
-            // `served_secs` or returned.
-            let Some(gpu_secs) = served_secs else {
-                continue;
-            };
             match hedge {
                 Some(h) if h.seconds < gpu_secs => {
-                    self.commit_hedge(s, q, &h, scores, recovery);
-                    *lane_seconds = gpu_start + h.seconds;
+                    commit_hedge(q, s, &h, st);
+                    st.lane_seconds[s] = gpu_start + h.seconds;
                 }
                 Some(_) => {
                     obs::counter_add("cudasw.serve.hedge.wins", &[("winner", "lane")], 1.0);
-                    *lane_seconds = gpu_start + gpu_secs;
+                    st.lane_seconds[s] = gpu_start + gpu_secs;
                 }
-                None => *lane_seconds = gpu_start + gpu_secs,
+                None => st.lane_seconds[s] = gpu_start + gpu_secs,
             }
-            self.health.observe_latency(s, *lane_seconds - gpu_start);
+            self.health
+                .observe_latency(s, st.lane_seconds[s] - gpu_start);
         }
         Ok(())
     }
@@ -435,10 +352,10 @@ impl WaveExecutor {
         service_elapsed: f64,
         recovery: &mut RecoveryReport,
     ) -> Option<HedgeResult> {
-        if !self.health.should_hedge(s) || self.lanes[s].shard.is_empty() {
+        let shard = self.lanes[s].shard();
+        if !self.health.should_hedge(s) || shard.is_empty() {
             return None;
         }
-        let shard = &self.lanes[s].shard;
         let seconds = shard.total_cells(req.query.len()) as f64 / HEDGE_HOST_CUPS;
         if self.propagate_deadlines {
             let left = req.deadline_seconds - service_elapsed;
@@ -459,111 +376,23 @@ impl WaveExecutor {
         })
     }
 
-    /// Commit a winning hedge for query `q` on lane `s`'s shard slots.
-    fn commit_hedge(
-        &mut self,
-        s: usize,
-        q: usize,
-        hedge: &HedgeResult,
-        scores: &mut [Vec<i32>],
-        recovery: &mut RecoveryReport,
-    ) {
-        let k = self.lanes.len();
-        for (j, &v) in hedge.scores.iter().enumerate() {
-            scores[q][s + j * k] = v;
-        }
-        recovery.degraded = true;
-        obs::counter_add("cudasw.serve.hedge.wins", &[("winner", "host")], 1.0);
-    }
-
-    /// Stage lane `s`'s shard, retrying transient faults with backoff.
-    /// On persistent failure the lane either dies (device loss / retries
-    /// exhausted) or falls back to un-staged per-query searches (OOM and
-    /// everything else) — both leave `staged` as `None`. Staging retries
-    /// are budgeted against the wave's most urgent deadline: a denied
-    /// retry serves the wave un-staged instead of backing off.
-    fn stage_lane(
-        &mut self,
-        s: usize,
-        wave: &Wave,
-        now: f64,
-        recovery: &mut RecoveryReport,
-        lane_seconds: &mut f64,
-    ) -> Result<(), GpuError> {
-        let mut attempt = 0u32;
-        // The wave is EDF-sorted, so requests[0] carries the tightest
-        // deadline — the budget staging must respect.
-        let deadline = self.query_deadline(&wave.requests[0], now);
-        loop {
-            let shard = self.lanes[s].shard.clone();
-            match self.lanes[s].driver.stage_database(&shard) {
-                Ok(staged) => {
-                    *lane_seconds += staged.staging_seconds();
-                    self.lanes[s].staged = Some(staged);
-                    obs::counter_add("cudasw.serve.db_stagings", &[], 1.0);
-                    return Ok(());
-                }
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    let backoff =
-                        self.policy.backoff_base_seconds * f64::from(1u32 << attempt.min(20));
-                    if let Some(d) = deadline.filter(|&d| obs::now() + backoff > d) {
-                        // Budget exhausted: no more staging retries — the
-                        // wave runs un-staged (per-query searches still
-                        // respect their own budgets).
-                        recovery.note_budget_denied(&e, d);
-                        obs::counter_add("cudasw.serve.budget_denied_stagings", &[], 1.0);
-                        obs::counter_add("cudasw.serve.staging_fallbacks", &[], 1.0);
-                        return Ok(());
-                    }
-                    attempt += 1;
-                    // Advances the simulated clock by `backoff`.
-                    recovery.note_retry(&e, attempt, &self.policy);
-                    *lane_seconds += backoff;
-                    obs::counter_add("cudasw.serve.staging_retries", &[], 1.0);
-                }
-                Err(GpuError::DeviceLost) => {
-                    self.lanes[s].alive = false;
-                    obs::counter_add("cudasw.serve.lane_deaths", &[], 1.0);
-                    return Ok(());
-                }
-                Err(e) if e.is_recoverable() => {
-                    // OOM or retries exhausted: serve this wave un-staged
-                    // (search_resilient re-chunks around OOM itself).
-                    obs::counter_add("cudasw.serve.staging_fallbacks", &[], 1.0);
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Serve shard work owed by dead or quarantined lanes: re-dispatch to
     /// the healthiest admitted survivor, falling back to the host SIMD
     /// oracle when no lane is left (or the deadline budget is spent).
-    #[allow(clippy::too_many_arguments)]
-    fn settle_owed(
-        &mut self,
-        wave: &Wave,
-        now: f64,
-        params: &sw_align::SwParams,
-        owed: Vec<(usize, usize)>,
-        scores: &mut [Vec<i32>],
-        recovery: &mut RecoveryReport,
-        lane_seconds: &mut [f64],
-        total_cells: &mut u64,
-    ) -> Result<(), GpuError> {
+    fn settle_owed(&mut self, wave: &Wave, now: f64, st: &mut WaveState) -> Result<(), GpuError> {
         let k = self.lanes.len();
-        for (dead, q) in owed {
+        let params = &wave.requests[0].params;
+        for (dead, q) in std::mem::take(&mut st.owed) {
             let req = &wave.requests[q];
-            let shard = self.lanes[dead].shard.clone();
+            let shard = self.lanes[dead].shard().clone();
             if shard.is_empty() {
                 continue;
             }
             let mut served = false;
             // Absolute budget for this query; once spent, stop burning
             // device time on redispatch and degrade straight to the host.
-            let budget = if self.policy.cpu_fallback {
-                self.query_deadline(req, now)
+            let budget = if self.cpu_fallback {
+                self.budget(req, now).map(|b| obs::now() + b)
             } else {
                 None
             };
@@ -572,51 +401,35 @@ impl WaveExecutor {
                 // lanes with open breakers only take owed work when
                 // nothing healthier remains (better a suspect device
                 // than a guaranteed host-speed answer).
-                let alive: Vec<bool> = self.lanes.iter().map(|l| l.alive).collect();
+                let alive: Vec<bool> = self.lanes.iter().map(ShardLane::is_alive).collect();
                 let Some(t) = self
                     .health
                     .preferred(&alive, dead)
-                    .or_else(|| (0..k).find(|&t| t != dead && self.lanes[t].alive))
+                    .or_else(|| (0..k).find(|&t| t != dead && alive[t]))
                 else {
                     break;
                 };
-                let prev_lane = obs::set_lane(self.lanes[t].device as u32 + 1);
-                let policy = RecoveryPolicy {
-                    deadline_seconds: self.query_deadline(req, now + lane_seconds[t]),
-                    ..self.lane_policy()
-                };
-                self.lanes[t].driver.config.params = params.clone();
-                let attempt = self.lanes[t]
-                    .driver
-                    .search_resilient(&req.query, &shard, &policy);
+                let prev_lane = obs::set_lane(t as u32 + 1);
+                let budget_t = self.budget(req, now + st.lane_seconds[t]);
+                self.lanes[t].set_params(params);
+                let attempt =
+                    self.lanes[t].search_foreign(&req.query, &shard, budget_t, &mut st.recovery);
                 obs::set_lane(prev_lane);
-                match attempt {
-                    Ok(rr) => {
-                        // search_resilient reset the survivor's allocator.
-                        self.lanes[t].staged = None;
-                        for (j, &v) in rr.result.scores.iter().enumerate() {
-                            scores[q][dead + j * k] = v;
-                        }
-                        lane_seconds[t] += rr.result.kernel_seconds()
-                            + rr.result.transfer_seconds
-                            + rr.recovery.backoff_seconds;
-                        *total_cells += rr.result.total_cells();
-                        recovery.merge(&rr.recovery);
-                        recovery.note_redispatch(
-                            self.lanes[dead].device,
-                            self.lanes[t].device,
-                            shard.len(),
-                        );
+                match attempt? {
+                    LaneOutcome::Served {
+                        scores,
+                        seconds,
+                        cells,
+                    } => {
+                        st.place(q, dead, &scores);
+                        st.lane_seconds[t] += seconds;
+                        st.total_cells += cells;
+                        st.recovery.note_redispatch(dead, t, shard.len());
                         obs::counter_add("cudasw.serve.redispatches", &[], 1.0);
                         served = true;
                         break;
                     }
-                    Err(e) if e.is_recoverable() => {
-                        self.lanes[t].alive = false;
-                        obs::counter_add("cudasw.serve.lane_deaths", &[], 1.0);
-                        self.health.observe_death(t, now);
-                    }
-                    Err(e) => return Err(e),
+                    LaneOutcome::Died => self.health.observe_death(t, now),
                 }
             }
             if served {
@@ -624,7 +437,7 @@ impl WaveExecutor {
             }
             // No survivors (or no budget left for device work): host SIMD
             // oracle, if the policy allows it.
-            if !self.policy.cpu_fallback {
+            if !self.cpu_fallback {
                 return Err(GpuError::DeviceLost);
             }
             // One dispatched engine per owed shard: profiles are built
@@ -633,23 +446,18 @@ impl WaveExecutor {
             // defence must itself survive panics and pressure.
             let engine = QueryEngine::new(params.clone(), &req.query);
             let r = search_uncancelled(&engine, shard.sequences(), &self.host_pool_config());
-            for (j, &v) in r.scores.iter().enumerate() {
-                scores[q][dead + j * k] = v;
-            }
+            st.place(q, dead, &r.scores);
             sw_simd::record_stats(engine.kind(), &r.stats);
-            recovery.note_cpu_fallback(shard.len());
+            st.recovery.note_cpu_fallback(shard.len());
             obs::counter_add("cudasw.serve.cpu_fallback_seqs", &[], shard.len() as f64);
         }
         Ok(())
     }
+}
 
-    /// The per-lane recovery policy: like the service policy, but a dead
-    /// device surfaces as `Err` so the executor can re-dispatch the shard
-    /// instead of silently computing it on the CPU.
-    fn lane_policy(&self) -> RecoveryPolicy {
-        RecoveryPolicy {
-            cpu_fallback: false,
-            ..self.policy.clone()
-        }
-    }
+/// Commit a winning hedge for query `q` on lane `s`'s shard slots.
+fn commit_hedge(q: usize, s: usize, hedge: &HedgeResult, st: &mut WaveState) {
+    st.place(q, s, &hedge.scores);
+    st.recovery.degraded = true;
+    obs::counter_add("cudasw.serve.hedge.wins", &[("winner", "host")], 1.0);
 }

@@ -17,11 +17,13 @@
 //!   the discrete-event [`clock::SimulatedClock`] (this crate's native
 //!   mode) and the monotonic [`clock::WallClock`] the `sw-gateway`
 //!   crate serves real time on;
-//! * [`exec`] — wave execution over per-device shard lanes that keep the
-//!   database device-resident
-//!   ([`cudasw_core::CudaSwDriver::stage_database`]) and inherit the
-//!   resilient driver's full recovery ladder, shard re-dispatch and host
-//!   fallback included;
+//! * [`lane`] — [`ShardLane`], one device lane's recovery ladder: the
+//!   shard staged device-resident with transient retry, the staged fast
+//!   path, the resilient-search fallback and lane death — the one ladder
+//!   both this crate's executor and the `sw-gateway` device workers
+//!   drive;
+//! * [`exec`] — wave scheduling over the shard lanes: breakers, revival
+//!   pacing, hedging, shard re-dispatch and the host fallback;
 //! * [`health`] — cross-query lane health: EWMA fault/latency scores,
 //!   per-lane circuit breakers (closed → open → half-open → closed),
 //!   dead-lane revival probes, and the hedged-dispatch trigger;
@@ -50,6 +52,7 @@ pub mod cache;
 pub mod clock;
 pub mod exec;
 pub mod health;
+pub mod lane;
 pub mod request;
 pub mod service;
 
@@ -59,5 +62,6 @@ pub use cache::ProfileCache;
 pub use clock::{ServiceClock, SimulatedClock, WallClock};
 pub use exec::{WaveExecutor, WaveOutcome};
 pub use health::{BreakerState, HealthPolicy, HealthTracker, LaneHealth};
+pub use lane::{LaneOutcome, ShardLane};
 pub use request::{ParamsKey, SearchRequest, TraceConfig};
 pub use service::{Response, SearchService, ServeConfig, ServeReport, Shed};

@@ -196,17 +196,7 @@ impl SearchService {
             queue: AdmissionQueue::new(cfg.admission.clone()),
             batcher: Batcher::new(cfg.batch.clone()),
             cache: ProfileCache::new(cfg.cache_capacity),
-            executor: WaveExecutor::new(
-                spec,
-                &cfg.search,
-                db,
-                cfg.devices,
-                plans,
-                &cfg.recovery,
-                &cfg.health,
-                cfg.propagate_deadlines,
-                &cfg.host_faults,
-            ),
+            executor: WaveExecutor::new(spec, cfg, db, plans),
             shed_expired: cfg.shed_expired,
         }
     }

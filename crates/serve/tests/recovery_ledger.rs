@@ -96,3 +96,28 @@ fn redispatch_and_fallback_reach_the_recovery_counters() {
         report.recovery.cpu_fallback_seqs as f64
     );
 }
+
+#[test]
+fn a_lane_lost_while_staging_dies_once_and_makes_no_device_call() {
+    // Two lanes; lane 0's H2D copy 0 is the first upload of its staging.
+    let db = database_with_lengths("ledger", &[20, 35, 45, 60, 80, 95, 110, 150], 71);
+    let trace = TraceConfig::small(6, 5).generate();
+    let plans = [FaultPlan::none().with_device_loss(FaultSite::HostToDevice, 0)];
+    let ((report, dead), run) = obs::capture(|| {
+        let mut service =
+            SearchService::new(&DeviceSpec::tesla_c1060(), &serve_config(2), &db, &plans);
+        let report = service.run_trace(&trace).unwrap();
+        (report, 2 - service.lanes_alive())
+    });
+    assert_eq!(dead, 1);
+    assert_eq!(report.responses.len(), trace.len());
+    assert_eq!(
+        counter(&run, "cudasw.serve.lane_deaths"),
+        dead as f64,
+        "one death counted once"
+    );
+    // Device 0 records on trace lane 1: its failed staging, and no search.
+    let on_lane_1 = |name: &str| run.trace.spans_named(name).filter(|s| s.tid == 1).count();
+    assert_eq!(on_lane_1("stage_database"), 1);
+    assert_eq!(on_lane_1("search"), 0, "the dead lane owes its whole wave");
+}

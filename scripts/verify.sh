@@ -20,6 +20,15 @@ cargo test -q --offline --workspace
 cargo test -q --offline --test paper_claims --test observability --test differential \
   --test crash_matrix --test executor_golden --test sim_counters_golden --test device_opt
 
+# The serving suites on both clocks: the simulated service (exactly-once,
+# exact scores, the recovery ledger) and the wall-clock gateway (clock
+# modes, drain storm, device fault paths). Both schedulers drive one
+# shard-lane ladder (`sw_serve::ShardLane`), so these pin it from both
+# sides.
+cargo test -q --offline -p sw-serve --test service_integration --test recovery_ledger \
+  --test resilience_props
+cargo test -q --offline -p sw-gateway --test clock_modes --test drain_storm --test device_faults
+
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
 
